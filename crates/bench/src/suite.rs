@@ -4,23 +4,27 @@
 //! hot-path deltas:
 //!
 //! * **kernel** — the local join kernels at 2–3 scales: radix
-//!   partitioning, chained-hash build and probe, sort and merge.
+//!   partitioning, chained-hash build and probe, sort and merge; plus a
+//!   sweep of one hash fragment visit from 128 to 16k tuples, inline and
+//!   forked onto the kernel pool, from which `parallel::GRAIN` is picked.
 //! * **codec** — `relation::wire` encode/decode and the TCP envelope
 //!   frame codec, in bytes/s.
 //! * **e2e** — a fixed seeded cyclo-join plan run to completion on each
 //!   backend (sim, threads, tcp, reactor), in revolutions/s (fragments
 //!   completing a full ring revolution per wall-clock second).
 //!
-//! Each delta re-measures one *fixed* copy-amplification bug: the
-//! "before" is a bench-local reimplementation of the removed code path,
-//! run in the same process on the same input as the shipped "after"
-//! path, so the pair differs only by the fix.
+//! Each delta re-measures one *fixed* hot-path cost (copy amplification,
+//! per-frame syscalls, per-call thread spawns): the "before" is a
+//! bench-local reimplementation of the removed code path, run in the same
+//! process on the same input as the shipped "after" path, so the pair
+//! differs only by the fix.
 
 use data_roundabout::tcp_backend::{
     encode_envelope, encode_envelope_into, write_frames_vectored, KIND_ENVELOPE,
 };
 use data_roundabout::{Envelope, FragmentId, FrameDecoder, WirePayload};
 use mem_joins::hash::{radix_bits_for, ChainedTable};
+use mem_joins::parallel::fork_join;
 use mem_joins::{CacheParams, HashJoinState, JoinCollector, RadixPartitioned};
 use mem_joins::{SortMergeState, SortedRun};
 use relation::{GenSpec, Relation};
@@ -50,12 +54,14 @@ pub fn run_suite(smoke: bool) -> Report {
     report
 }
 
-/// Human tag for a tuple count: `4k`, `64k`, `1m`.
+/// Human tag for a tuple count: `128`, `4k`, `64k`, `1m`.
 fn size_tag(n: usize) -> String {
     if n >= 1 << 20 && n.is_multiple_of(1 << 20) {
         format!("{}m", n >> 20)
-    } else {
+    } else if n >= 1 << 10 {
         format!("{}k", n >> 10)
+    } else {
+        n.to_string()
     }
 }
 
@@ -116,6 +122,94 @@ fn kernel_group(report: &mut Report, budget: Budget, smoke: bool) {
         });
         let tput = s.per_second(n as f64);
         report.push_entry(&format!("merge_join_{tag}"), "kernel", s, tput, "tuples/s");
+    }
+    visit_sweep(report, budget, smoke);
+}
+
+/// Shards of a forked visit, as with the default `join_threads`.
+const VISIT_SHARDS: usize = 4;
+
+/// A hash fragment visit of `n` probe tuples against one host's
+/// stationary state, pre-split into [`VISIT_SHARDS`] sub-fragments so a
+/// visit can be forked at any size, below the grain included.
+struct Visit<'a> {
+    state: &'a HashJoinState,
+    whole: RadixPartitioned,
+    quarters: Vec<RadixPartitioned>,
+}
+
+impl<'a> Visit<'a> {
+    fn new(state: &'a HashJoinState, n: usize, seed: u64) -> Self {
+        let params = CacheParams::paper_xeon();
+        let probe = GenSpec::uniform(n, seed).generate();
+        let whole = state.partition_probe(&probe, &params);
+        let quarters = mem_joins::parallel::shard_ranges(n, VISIT_SHARDS)
+            .into_iter()
+            .map(|range| {
+                let part: Relation = range.filter_map(|i| probe.get(i)).collect();
+                state.partition_probe(&part, &params)
+            })
+            .collect();
+        Visit {
+            state,
+            whole,
+            quarters,
+        }
+    }
+
+    /// The whole visit on the calling thread.
+    fn inline(&self) -> u64 {
+        let mut collector = JoinCollector::aggregating();
+        self.state.probe_partitioned(&self.whole, 1, &mut collector);
+        collector.count()
+    }
+
+    /// Shard `i` of a forked visit.
+    fn shard(&self, i: usize) -> u64 {
+        let mut collector = JoinCollector::aggregating();
+        if let Some(quarter) = self.quarters.get(i) {
+            self.state.probe_partitioned(quarter, 1, &mut collector);
+        }
+        collector.count()
+    }
+}
+
+/// One hash fragment visit at 128 to 16k probe tuples against a 64k-tuple
+/// stationary state (one host's share on the `fine` benchmark workload):
+/// inline, and forked into [`VISIT_SHARDS`] shards on the kernel pool.
+/// The smallest size where the forked visit wins is where
+/// `parallel::GRAIN` belongs.
+fn visit_sweep(report: &mut Report, budget: Budget, smoke: bool) {
+    let params = CacheParams::paper_xeon();
+    let s_tuples = if smoke { 16 << 10 } else { 64 << 10 };
+    let stationary = GenSpec::uniform(s_tuples, 41).generate();
+    let state =
+        HashJoinState::build_with_bits(&stationary, radix_bits_for(s_tuples, &params), &params);
+    for n in [128, 1 << 10, 4 << 10, 16 << 10] {
+        let tag = size_tag(n);
+        let visit = Visit::new(&state, n, 43);
+        let s = bench(budget, || visit.inline());
+        let tput = s.per_second(n as f64);
+        report.push_entry(
+            &format!("hash_visit_{tag}_inline"),
+            "kernel",
+            s,
+            tput,
+            "tuples/s",
+        );
+        let s = bench(budget, || {
+            fork_join(VISIT_SHARDS, |i| visit.shard(i))
+                .into_iter()
+                .sum::<u64>()
+        });
+        let tput = s.per_second(n as f64);
+        report.push_entry(
+            &format!("hash_visit_{tag}_pool"),
+            "kernel",
+            s,
+            tput,
+            "tuples/s",
+        );
     }
 }
 
@@ -201,7 +295,8 @@ fn e2e_group(report: &mut Report, smoke: bool) {
 }
 
 /// Before/after measurements of the fixed hot paths: three removed
-/// copy-amplification bugs plus the writer's per-frame write syscalls.
+/// copy-amplification bugs, the writer's per-frame write syscalls and
+/// the kernels' per-call thread spawns.
 /// Every "before" reimplements the removed code path locally; a one-time
 /// equivalence assertion keeps the reimplementation honest.
 fn delta_group(report: &mut Report, budget: Budget, smoke: bool) {
@@ -332,6 +427,47 @@ fn delta_group(report: &mut Report, budget: Budget, smoke: bool) {
         before,
         after,
     ));
+
+    // --- parallel.rs: `join_threads` scoped threads spawned on every
+    // fork. A 1,024-tuple hash visit (the `fine` benchmark workload's
+    // fragment size) forked into four shards, once over fresh spawns and
+    // once over the kernel pool; both bypass the grain so the dispatch is
+    // the only difference.
+    let state = HashJoinState::build_with_bits(&rel, bits, &params);
+    let visit = Visit::new(&state, 1 << 10, 47);
+    let forked = |counts: Vec<u64>| counts.into_iter().sum::<u64>();
+    assert_eq!(
+        forked(old_fork_join(VISIT_SHARDS, |i| visit.shard(i))),
+        visit.inline(),
+        "the spawning fork must find the same matches"
+    );
+    let (before, after) = bench_ab(
+        budget,
+        || forked(old_fork_join(VISIT_SHARDS, |i| visit.shard(i))),
+        || forked(fork_join(VISIT_SHARDS, |i| visit.shard(i))),
+    );
+    report.deltas.push(Delta::from_samples(
+        "fork_join_spawn_per_call",
+        before,
+        after,
+    ));
+}
+
+/// `fork_join` as it was before the kernel pool: one scoped OS thread
+/// spawned per shard on every call, joined before returning.
+fn old_fork_join<T: Send>(threads: usize, worker: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|i| {
+                let worker = &worker;
+                scope.spawn(move || worker(i))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fork_join worker panicked"))
+            .collect()
+    })
 }
 
 /// A connected loopback TCP stream whose far end is drained by a
@@ -419,7 +555,7 @@ mod tests {
                 e.name
             );
         }
-        assert_eq!(report.deltas.len(), 4, "one delta per fixed hot path");
+        assert_eq!(report.deltas.len(), 5, "one delta per fixed hot path");
         for d in &report.deltas {
             assert!(d.before_ns > 0.0 && d.after_ns > 0.0 && d.speedup > 0.0);
             let ratio = d.before_ns / d.after_ns;
@@ -433,6 +569,7 @@ mod tests {
 
     #[test]
     fn size_tags() {
+        assert_eq!(size_tag(128), "128");
         assert_eq!(size_tag(4 << 10), "4k");
         assert_eq!(size_tag(256 << 10), "256k");
         assert_eq!(size_tag(1 << 20), "1m");

@@ -20,7 +20,7 @@ use super::radix::{radix_bits_for, RadixPartitioned};
 use super::table::ChainedTable;
 use super::CacheParams;
 use crate::collector::JoinCollector;
-use crate::parallel::fork_join;
+use crate::parallel::{fork_join, shards_for};
 
 /// The setup-phase output of the partitioned hash join: cache-sized hash
 /// tables over every partition of the stationary relation.
@@ -115,16 +115,17 @@ impl HashJoinState {
             r.bits(),
             self.bits
         );
-        let shards = fork_join(threads, |shard| {
+        let shards = shards_for(r.len(), threads);
+        let locals = fork_join(shards, |shard| {
             let mut local = collector.child();
             let mut idx = shard;
             while idx < self.tables.len() {
                 probe_one(&self.tables[idx], r.partition(idx), &mut local);
-                idx += threads;
+                idx += shards;
             }
             local
         });
-        for shard in shards {
+        for shard in locals {
             collector.merge(shard);
         }
     }

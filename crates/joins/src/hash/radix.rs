@@ -11,7 +11,7 @@ use relation::{Key, Payload, Relation};
 use serde::{Deserialize, Serialize};
 
 use super::{hash_key, CacheParams};
-use crate::parallel::{fork_join, shard_ranges};
+use crate::parallel::{fork_join, shard_ranges, shards_for};
 
 /// A relation scattered into `2^bits` hash partitions.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -57,24 +57,26 @@ impl RadixPartitioned {
         RadixPartitioned::new(&rel, bits, params)
     }
 
-    /// Like [`RadixPartitioned::new`] but scatters with `threads` worker
-    /// threads: each thread partitions a contiguous chunk of the input and
-    /// the per-partition pieces are concatenated. The partition *multisets*
-    /// equal the sequential result; only the order of tuples within each
-    /// partition differs.
+    /// Like [`RadixPartitioned::new`] but scatters with up to `threads`
+    /// worker threads (see [`shards_for`]): each thread partitions a
+    /// contiguous chunk of the input and the per-partition pieces are
+    /// concatenated in chunk order, so the partitions equal the
+    /// sequential result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
     pub fn new_parallel(rel: &Relation, bits: u32, params: &CacheParams, threads: usize) -> Self {
-        if threads <= 1 || rel.len() < 4 * threads {
+        let shards = shards_for(rel.len(), threads);
+        if shards == 1 || bits == 0 {
             return RadixPartitioned::new(rel, bits, params);
         }
-        if bits == 0 {
-            return RadixPartitioned::new(rel, 0, params);
-        }
-        let ranges = shard_ranges(rel.len(), threads);
+        let ranges = shard_ranges(rel.len(), shards);
         let keys = rel.keys();
         let payloads = rel.payloads();
         // Each thread scatters its borrowed chunk of the input columns
         // directly — no per-chunk copy of the tuples before the scatter.
-        let chunk_parts: Vec<Vec<Relation>> = fork_join(threads, |i| {
+        let chunk_parts: Vec<Vec<Relation>> = fork_join(shards, |i| {
             let range = ranges[i].clone();
             scatter_slices(&keys[range.clone()], &payloads[range], bits, params)
         });

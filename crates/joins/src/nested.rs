@@ -10,7 +10,7 @@
 use relation::{MatchPair, Relation};
 
 use crate::collector::JoinCollector;
-use crate::parallel::{fork_join, shard_ranges};
+use crate::parallel::{fork_join, shard_ranges, shards_for};
 use crate::predicate::JoinPredicate;
 
 /// Probe tuples per block; one block of keys stays cache-resident while
@@ -29,8 +29,10 @@ pub fn nested_loops_join(
     threads: usize,
     collector: &mut JoinCollector,
 ) {
-    let ranges = shard_ranges(r.len(), threads);
-    let shards = fork_join(threads, |i| {
+    // Every probe tuple meets every inner tuple: the work is |R|·|S| pairs.
+    let shards = shards_for(r.len().saturating_mul(s.len()), threads);
+    let ranges = shard_ranges(r.len(), shards);
+    let locals = fork_join(shards, |i| {
         let mut local = collector.child();
         let range = ranges[i].clone();
         let mut block_start = range.start;
@@ -49,7 +51,7 @@ pub fn nested_loops_join(
         }
         local
     });
-    for shard in shards {
+    for shard in locals {
         collector.merge(shard);
     }
 }

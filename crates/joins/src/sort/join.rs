@@ -16,7 +16,7 @@ use relation::MatchPair;
 
 use super::run::SortedRun;
 use crate::collector::JoinCollector;
-use crate::parallel::{fork_join, shard_ranges};
+use crate::parallel::{fork_join, shard_ranges, shards_for};
 
 /// The setup-phase output of sort-merge join: the stationary relation in
 /// sorted order.
@@ -78,8 +78,10 @@ pub fn merge_join(
     threads: usize,
     collector: &mut JoinCollector,
 ) {
-    let ranges = shard_ranges(r.len(), threads);
-    let shards = fork_join(threads, |i| {
+    // A shard scans its probe range and the part of `s` under it.
+    let shards = shards_for(r.len() + s.len(), threads);
+    let ranges = shard_ranges(r.len(), shards);
+    let locals = fork_join(shards, |i| {
         let mut local = collector.child();
         let range = ranges[i].clone();
         if !range.is_empty() {
@@ -87,7 +89,7 @@ pub fn merge_join(
         }
         local
     });
-    for shard in shards {
+    for shard in locals {
         collector.merge(shard);
     }
 }

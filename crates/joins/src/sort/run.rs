@@ -10,23 +10,24 @@
 use relation::{Relation, Tuple};
 use serde::{Deserialize, Serialize};
 
-use crate::parallel::{fork_join, shard_ranges};
+use crate::parallel::{fork_join, shard_ranges, shards_for};
 
 /// A relation sorted by join key (non-decreasing).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SortedRun(Relation);
 
 impl SortedRun {
-    /// Sorts `rel` into a run using `threads` worker threads: each thread
-    /// sorts a contiguous chunk, then chunks are merged pairwise.
+    /// Sorts `rel` into a run using up to `threads` worker threads (see
+    /// [`shards_for`]): each thread sorts a contiguous chunk, then chunks
+    /// are merged pairwise.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn sort(rel: &Relation, threads: usize) -> Self {
-        assert!(threads > 0, "sorting needs at least one thread");
-        let ranges = shard_ranges(rel.len(), threads);
-        let mut chunks: Vec<Vec<Tuple>> = fork_join(threads, |i| {
+        let shards = shards_for(rel.len(), threads);
+        let ranges = shard_ranges(rel.len(), shards);
+        let mut chunks: Vec<Vec<Tuple>> = fork_join(shards, |i| {
             let range = ranges[i].clone();
             let mut chunk: Vec<Tuple> = (range.start..range.end)
                 .map(|j| rel.get(j).expect("shard range in bounds"))

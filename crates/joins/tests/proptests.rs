@@ -2,11 +2,13 @@
 //! input, produces exactly the reference multiset of matches.
 
 use mem_joins::hash::{CacheParams, RadixPartitioned};
+use mem_joins::parallel::GRAIN;
 use mem_joins::{
-    merge_join, nested_loops_join, Algorithm, JoinCollector, JoinPredicate, SortedRun,
+    merge_join, nested_loops_join, Algorithm, HashJoinState, JoinCollector, JoinPredicate,
+    SortedRun,
 };
 use proptest::prelude::*;
-use relation::{relation_checksum, Checksum, GenSpec, Relation};
+use relation::{relation_checksum, Checksum, GenSpec, MatchPair, Relation, Tuple};
 
 fn relation_strategy() -> impl Strategy<Value = Relation> {
     // Mix of shapes: empty, small domains (heavy duplicates), wide domains.
@@ -188,5 +190,67 @@ proptest! {
         right_assoc.merge(tail);
         prop_assert_eq!(left_assoc.count(), right_assoc.count());
         prop_assert_eq!(left_assoc.checksum(), right_assoc.checksum());
+    }
+}
+
+/// Input sizes just under and just over the fork grain.
+fn around_grain() -> impl Strategy<Value = usize> {
+    (0usize..128).prop_map(|d| GRAIN - 64 + d)
+}
+
+fn sorted_matches(c: JoinCollector) -> Vec<MatchPair> {
+    let mut m = c.into_matches();
+    m.sort_unstable();
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every forking kernel gives the same result for 1, 2 and 4 threads
+    /// on inputs either side of the grain, where the kernels switch
+    /// between running inline and forking onto the pool: the hash probe
+    /// and the merge give the same match multiset, the parallel scatter
+    /// the same partitions, and the sort the same tuple multiset.
+    #[test]
+    fn kernels_agree_across_threads_at_the_grain(
+        work in around_grain(),
+        s_len in 1usize..256,
+        domain in 1u32..50_000,
+        seed in any::<u64>(),
+    ) {
+        let gen = |tuples, seed| {
+            GenSpec {
+                tuples,
+                distribution: relation::KeyDistribution::Uniform { domain },
+                seed,
+            }
+            .generate()
+        };
+        let params = CacheParams::tiny_for_tests();
+        let s = gen(s_len, seed);
+        // The probe touches |R| tuples, the merge |R| + |S|.
+        let r_probe = gen(work, seed ^ 1);
+        let r_merge = gen(work - s_len, seed ^ 2);
+        let state = HashJoinState::build_with_bits(&s, 4, &params);
+        let frag = state.partition_probe(&r_probe, &params);
+        let s_run = SortedRun::sort(&s, 1);
+        let sequential_scatter = RadixPartitioned::new(&r_probe, 4, &params);
+
+        let mut results = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let mut probe = JoinCollector::materializing();
+            state.probe_partitioned(&frag, threads, &mut probe);
+            let mut merge = JoinCollector::materializing();
+            merge_join(&SortedRun::sort(&r_merge, threads), &s_run, 0, threads, &mut merge);
+            let sorted = SortedRun::sort(&r_probe, threads);
+            prop_assert!(sorted.as_relation().is_sorted_by_key());
+            let mut tuples: Vec<Tuple> = sorted.as_relation().iter().collect();
+            tuples.sort_unstable();
+            let scatter = RadixPartitioned::new_parallel(&r_probe, 4, &params, threads);
+            prop_assert_eq!(scatter.partitions(), sequential_scatter.partitions());
+            results.push((sorted_matches(probe), sorted_matches(merge), tuples));
+        }
+        prop_assert!(results.windows(2).all(|w| w[0] == w[1]));
     }
 }

@@ -577,3 +577,47 @@ fn multi_tenant_crash_during_drain_still_admits_the_queued_query() {
         );
     }
 }
+
+/// A join visit that panics inside a kernel-pool shard is re-raised on
+/// the host's worker and must end the run as a typed ring error on the
+/// thread and reactor backends, never as a hung ring or a panic in the
+/// caller.
+#[test]
+fn panicking_pool_shard_is_a_typed_ring_error_on_threads_and_reactor() {
+    use cyclo_join::Algorithm;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (r, s) = (
+        GenSpec::uniform(2_000, 940).generate(),
+        GenSpec::uniform(2_000, 941).generate(),
+    );
+    // Each visit compares ~333 x ~667 pairs, well over the fork grain,
+    // so every visit forks onto the kernel pool and every shard panics.
+    let plan = CycloJoin::new(r, s)
+        .algorithm(Algorithm::NestedLoops)
+        .predicate(JoinPredicate::theta(|_, _| {
+            panic!("injected shard failure")
+        }))
+        .ring(RingConfig::paper(3).with_join_threads(4))
+        .fragments_per_host(2);
+    type Run = fn(&CycloJoin) -> Result<CycloJoinReport, PlanError>;
+    let runs: [(&str, Run); 2] = [
+        ("threads", CycloJoin::run_threaded),
+        ("reactor", CycloJoin::run_reactor),
+    ];
+    for (backend, run) in runs {
+        let (tx, rx) = mpsc::channel();
+        let plan = plan.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(run(&plan).err());
+        });
+        let err = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{backend}: the ring hung or the caller panicked"));
+        assert!(
+            matches!(err, Some(PlanError::Backend(_))),
+            "{backend}: expected a typed ring error, got {err:?}"
+        );
+    }
+}
